@@ -44,7 +44,7 @@ if [ "$LIST" -eq 1 ]; then
         "fmt"              "rustfmt check over the whole workspace" \
         "clippy"           "clippy with -D warnings, all targets" \
         "build-release *"  "release build (tier-1)" \
-        "test"             "cargo test -q: the full tier-1 suite" \
+        "test"             "cargo test -q --no-fail-fast: the full tier-1 suite" \
         "diag-gate"        "alarm triage: golden corpus, SARIF, baseline self-diff" \
         "ignore-gate"      "no #[ignore] in the precision suite; ignored tests pass" \
         "robustness"       "panic isolation, sound degradation, cache healing" \
@@ -412,7 +412,7 @@ run_stage "clippy" cargo clippy --workspace --all-targets -- -D warnings
 if [ "$QUICK" -eq 0 ] || [ -n "$ONLY_STAGE" ]; then
     run_stage "build-release" cargo build --release
 fi
-run_stage "test"        cargo test -q
+run_stage "test"        cargo test -q --no-fail-fast
 run_stage "diag-gate"   diag_gate
 run_stage "ignore-gate" ignore_gate
 # The fault-tolerance suite is cheap and guards invariants the other stages

@@ -10,9 +10,11 @@
 //! cargo run --release -p sga-bench --bin ablation_bdd
 //! ```
 
-use sga::analysis::interval::{AnalyzeOptions, Pipeline};
+use sga::analysis::interval::AnalyzeOptions;
+use sga::analysis::skeleton::Skeleton;
 use sga::bdd::{BddDepStore, DepStore, SetDepStore};
 use sga::cgen::GenConfig;
+use sga::utils::stats::StageTimers;
 
 fn main() {
     println!(
@@ -23,12 +25,12 @@ fn main() {
         let cfg = GenConfig::sized(0xB_DD + kloc as u64, kloc);
         let src = sga::cgen::generate(&cfg);
         let program = sga::frontend::parse(&src).expect("generated source parses");
-        let pl = Pipeline::prepare(&program, AnalyzeOptions::default());
+        let sk = Skeleton::build(&program, &AnalyzeOptions::default(), 1, &StageTimers::new());
         let numbering = program.point_numbering();
 
         let mut set = SetDepStore::new();
-        let mut bdd = BddDepStore::new(numbering.len() as u32, pl.du.locs.len() as u32);
-        for (from, loc, to) in pl.deps.iter() {
+        let mut bdd = BddDepStore::new(numbering.len() as u32, sk.frame.du.locs.len() as u32);
+        for (from, loc, to) in sk.deps.iter() {
             let t = sga::bdd::relation::DepTriple {
                 from: numbering.index(from) as u32,
                 to: numbering.index(to) as u32,

@@ -9,8 +9,10 @@
 //! LOC/maxSCC are shown alongside for provenance; generated programs are
 //! scaled 1:40.
 
-use sga::analysis::{defuse, preanalysis};
+use sga::analysis::interval::AnalyzeOptions;
+use sga::analysis::skeleton::Frame;
 use sga::ir::metrics::ProgramMetrics;
+use sga::utils::stats::StageTimers;
 use sga_bench::table1_rows;
 
 fn main() {
@@ -33,9 +35,9 @@ fn main() {
         let loc = src.lines().count();
         let program = sga::frontend::parse(&src).expect("generated source parses");
         let parse_ms = start.elapsed().as_millis();
-        let pre = preanalysis::run(&program);
+        let Frame { pre, du, .. } =
+            Frame::build(&program, &AnalyzeOptions::default(), 1, &StageTimers::new());
         let metrics = ProgramMetrics::measure(&program, &pre.callgraph);
-        let du = defuse::compute(&program, &pre);
         println!(
             "{:<18} {:>9} {:>8} {:>6} {:>11} {:>8} {:>7} {:>8} {:>9} {:>8}",
             row.name,

@@ -153,39 +153,11 @@ pub fn compute(program: &Program, pre: &PreAnalysis) -> DefUse {
 /// pre-analysis state — used by the semi-sparse instance, which coarsens the
 /// points-to information of non-top-level variables (§3.2).
 ///
-/// This is the sequential driver over the staged per-procedure passes —
-/// [`real_sets_for_proc`], [`summarize_scc`], [`relay_sets_for_proc`],
-/// [`finish`] — which the parallel pipeline schedules itself (pass 1 and
-/// pass 3 are independent per procedure; pass 2 is bottom-up over call-graph
-/// SCCs).
+/// This is the skeleton builder's staged driver over
+/// [`real_sets_for_proc`], [`summarize_scc`], [`relay_sets_for_proc`] and
+/// [`finish`] ([`crate::skeleton`]), at one job.
 pub fn compute_with_state(program: &Program, pre: &PreAnalysis, t: &State) -> DefUse {
-    // Pass 1: real sets per node.
-    let mut sets: FxHashMap<Cp, CpSets> = FxHashMap::default();
-    for pid in program.procs.indices() {
-        sets.extend(real_sets_for_proc(program, pre, t, pid));
-    }
-
-    // Pass 2: transitive access summaries, bottom-up over call-graph SCCs.
-    let nprocs = program.procs.len();
-    let mut summary_defs: IndexVec<ProcId, Vec<AbsLoc>> = IndexVec::from_elem_n(Vec::new(), nprocs);
-    let mut summary_uses: IndexVec<ProcId, Vec<AbsLoc>> = IndexVec::from_elem_n(Vec::new(), nprocs);
-    for scc in pre.callgraph.bottom_up_sccs() {
-        let (exported_defs, exported_uses) =
-            summarize_scc(program, pre, &sets, scc, &summary_defs, &summary_uses);
-        for &praw in scc {
-            let pid = ProcId::new(praw);
-            summary_defs[pid] = exported_defs.clone();
-            summary_uses[pid] = exported_uses.clone();
-        }
-    }
-
-    // Pass 3: full sets with relay roles, then deterministic interning.
-    let parts: Vec<ProcFullSets> = program
-        .procs
-        .indices()
-        .map(|pid| relay_sets_for_proc(program, pre, pid, &sets, &summary_defs, &summary_uses))
-        .collect();
-    finish(sets, summary_defs, summary_uses, parts)
+    crate::skeleton::def_use(program, pre, t, 1)
 }
 
 /// Full `D̂`/`Û` sets of one procedure's control points, in node order

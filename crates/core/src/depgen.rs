@@ -157,23 +157,15 @@ pub fn generate(
 /// One dependency edge: `(loc, from, to, is_return)`.
 pub type DepEdge = (u32, Cp, Cp, bool);
 
-/// Generates data dependencies from any [`DepSource`].
-///
-/// This is the sequential driver over the staged pieces: per-procedure
-/// reaching-definition segments ([`proc_dep_edges`], independent across
-/// procedures) merged by [`assemble`], which adds the interprocedural
-/// linking edges and runs the bypass contraction. The parallel pipeline
-/// calls the pieces itself.
-pub fn generate_from<S: DepSource>(
+/// Generates data dependencies from any [`DepSource`]: the skeleton's
+/// staged per-procedure [`proc_dep_edges`] segments at one job, merged by
+/// [`assemble`].
+pub fn generate_from<S: DepSource + Sync>(
     program: &Program,
     source: &S,
     options: DepGenOptions,
 ) -> DataDeps {
-    let segments: Vec<Vec<DepEdge>> = program
-        .procs
-        .indices()
-        .map(|pid| proc_dep_edges(program, source, pid))
-        .collect();
+    let segments = crate::skeleton::dep_segments(program, source, 1);
     assemble(source, options, segments)
 }
 

@@ -15,19 +15,20 @@
 //! workspace's integration tests assert program-by-program.
 
 use crate::budget::Budget;
-use crate::defuse::{self, DefUse};
+use crate::defuse::DefUse;
 use crate::dense::{self, DenseSpec};
-use crate::depgen::{self, DataDeps, DepGenOptions};
+use crate::depgen::DepGenOptions;
 use crate::depstore::DepBackend;
-use crate::icfg::{EdgeKind, Icfg, InEdge};
-use crate::preanalysis::{self, PreAnalysis};
+use crate::icfg::{EdgeKind, InEdge};
+use crate::preanalysis::PreAnalysis;
 use crate::semantics;
+use crate::skeleton::{Frame, Skeleton};
 use crate::sparse::{self, SparseSpec};
 use crate::stats::AnalysisStats;
-use crate::widening::{WideningConfig, WideningPlan};
+use crate::widening::WideningConfig;
 use sga_domains::{AbsLoc, Lattice, LocSet, State, Thresholds, Value};
 use sga_ir::{Cmd, Cp, ProcId, Program};
-use sga_utils::stats::{peak_rss_bytes, Phase};
+use sga_utils::stats::{peak_rss_bytes, Phase, StageTimers};
 use sga_utils::{FxHashMap, IndexVec, PMap};
 
 /// Which analyzer to run.
@@ -49,8 +50,8 @@ pub struct AnalyzeOptions {
     /// Dependency representation the sparse solver iterates (sparse only;
     /// results are byte-identical across backends).
     pub dep_backend: DepBackend,
-    /// Derive D̂/Û in the semi-sparse regime (§3.2's Hardekopf & Lin
-    /// instance): only top-level variables treated sparsely.
+    /// Derive the skeleton's D̂/Û in the semi-sparse regime (§3.2's
+    /// Hardekopf & Lin instance): only top-level variables treated sparsely.
     pub semi_sparse: bool,
     /// Widening strategy applied at cycle heads / widening points.
     pub widening: WideningConfig,
@@ -89,89 +90,78 @@ pub fn analyze(program: &Program, engine: Engine) -> IntervalResult {
     analyze_with(program, engine, AnalyzeOptions::default())
 }
 
-/// Runs the chosen interval analyzer.
+/// Runs the chosen interval analyzer: builds the unit's skeleton (only its
+/// [`Frame`] for the dense engines, which read no dependencies) and solves
+/// on it, as [`analyze_on`] does.
 pub fn analyze_with(program: &Program, engine: Engine, options: AnalyzeOptions) -> IntervalResult {
     let total = Phase::start("total");
-    let pre_phase = Phase::start("pre");
-    let pre = preanalysis::run(program);
-    let pre_time = pre_phase.stop();
-    let icfg = Icfg::build(program, &pre);
+    let timers = StageTimers::new();
+    let mut result = match engine {
+        Engine::Sparse => {
+            let skeleton = Skeleton::build(program, &options, 1, &timers);
+            analyze_on(program, &skeleton, engine, &options)
+        }
+        Engine::Vanilla | Engine::Base => {
+            let frame = Frame::build(program, &options, 1, &timers);
+            analyze_dense(program, &frame, engine, &options)
+        }
+    };
+    result.stats.pre_time = timers.get("pre");
+    if engine == Engine::Sparse {
+        result.stats.dep_time = timers.get("defuse") + timers.get("dep");
+    }
+    result.stats.total_time = total.stop();
+    result.stats.peak_mem_bytes = peak_rss_bytes();
+    result
+}
 
-    let mut stats = AnalysisStats {
-        pre_time,
+/// Runs the chosen interval analyzer on a unit's borrowed skeleton. The
+/// dense engines read only its [`Frame`]. Phase times other than `fix` are
+/// the skeleton builder's to report.
+pub fn analyze_on(
+    program: &Program,
+    skeleton: &Skeleton,
+    engine: Engine,
+    options: &AnalyzeOptions,
+) -> IntervalResult {
+    if engine != Engine::Sparse {
+        return analyze_dense(program, &skeleton.frame, engine, options);
+    }
+    let Frame {
+        pre,
+        icfg,
+        du,
+        plan,
+    } = &skeleton.frame;
+    let deps = &skeleton.deps;
+    let spec = IntervalSparseSpec { program, pre, du };
+    let fix = Phase::start("fix");
+    let result = sparse::solve_backend(
+        options.dep_backend,
+        program,
+        icfg,
+        deps,
+        &spec,
+        plan,
+        &options.budget,
+    );
+    let stats = AnalysisStats {
+        fix_time: fix.stop(),
+        iterations: result.iterations,
+        degraded: result.degraded,
+        num_locs: du.locs.len(),
+        avg_defs: du.avg_def_size(),
+        avg_uses: du.avg_use_size(),
+        dep_edges_raw: deps.stats.raw_edges,
+        dep_edges: deps.stats.final_edges,
         widening: options.widening.strategy.name(),
         ..AnalysisStats::default()
     };
-    let plan = WideningPlan::for_program(program, options.widening);
-
-    let values = match engine {
-        Engine::Vanilla | Engine::Base => {
-            let localize = engine == Engine::Base;
-            let (in_sets, out_sets) = if localize {
-                let du = defuse::compute(program, &pre);
-                stats.num_locs = du.locs.len();
-                stats.avg_defs = du.avg_def_size();
-                stats.avg_uses = du.avg_use_size();
-                localization_sets(program, &du)
-            } else {
-                (IndexVec::new(), IndexVec::new())
-            };
-            let spec = IntervalDenseSpec {
-                program,
-                localize,
-                in_sets,
-                out_sets,
-            };
-            let fix = Phase::start("fix");
-            let result = dense::solve_with(program, &icfg, &spec, &plan, &options.budget);
-            stats.fix_time = fix.stop();
-            stats.iterations = result.iterations;
-            stats.degraded = result.degraded;
-            result.post
-        }
-        Engine::Sparse => {
-            let dep_phase = Phase::start("dep");
-            let du = if options.semi_sparse {
-                let coarse = preanalysis::coarsen_semi_sparse(program, &pre.state);
-                defuse::compute_with_state(program, &pre, &coarse)
-            } else {
-                defuse::compute(program, &pre)
-            };
-            let deps = depgen::generate(program, &pre, &du, options.depgen);
-            stats.dep_time = dep_phase.stop();
-            stats.num_locs = du.locs.len();
-            stats.avg_defs = du.avg_def_size();
-            stats.avg_uses = du.avg_use_size();
-            stats.dep_edges_raw = deps.stats.raw_edges;
-            stats.dep_edges = deps.stats.final_edges;
-            let spec = IntervalSparseSpec {
-                program,
-                pre: &pre,
-                du: &du,
-            };
-            let fix = Phase::start("fix");
-            let result = sparse::solve_backend(
-                options.dep_backend,
-                program,
-                &icfg,
-                &deps,
-                &spec,
-                &plan,
-                &options.budget,
-            );
-            stats.fix_time = fix.stop();
-            stats.iterations = result.iterations;
-            stats.degraded = result.degraded;
-            result
-                .values
-                .into_iter()
-                .map(|(cp, m)| (cp, State::from_pmap(m)))
-                .collect()
-        }
-    };
-
-    stats.total_time = total.stop();
-    stats.peak_mem_bytes = peak_rss_bytes();
+    let values = result
+        .values
+        .into_iter()
+        .map(|(cp, m)| (cp, State::from_pmap(m)))
+        .collect();
     IntervalResult {
         engine,
         values,
@@ -179,40 +169,41 @@ pub fn analyze_with(program: &Program, engine: Engine, options: AnalyzeOptions) 
     }
 }
 
-/// Re-exposed pieces for callers who want to stage the pipeline themselves
-/// (the benchmark harness and the equality tests do).
-pub struct Pipeline<'p> {
-    /// The analyzed program.
-    pub program: &'p Program,
-    /// Pre-analysis result.
-    pub pre: PreAnalysis,
-    /// Interprocedural CFG.
-    pub icfg: Icfg,
-    /// Def/use sets.
-    pub du: DefUse,
-    /// Data dependencies.
-    pub deps: DataDeps,
-    /// The widening plan resolved against the program.
-    pub widening: WideningPlan,
-}
-
-impl<'p> Pipeline<'p> {
-    /// Runs pre-analysis, def/use, dependency generation, and threshold
-    /// harvesting.
-    pub fn prepare(program: &'p Program, options: AnalyzeOptions) -> Pipeline<'p> {
-        let pre = preanalysis::run(program);
-        let icfg = Icfg::build(program, &pre);
-        let du = defuse::compute(program, &pre);
-        let deps = depgen::generate(program, &pre, &du, options.depgen);
-        let widening = WideningPlan::for_program(program, options.widening);
-        Pipeline {
-            program,
-            pre,
-            icfg,
-            du,
-            deps,
-            widening,
-        }
+fn analyze_dense(
+    program: &Program,
+    frame: &Frame,
+    engine: Engine,
+    options: &AnalyzeOptions,
+) -> IntervalResult {
+    let mut stats = AnalysisStats {
+        widening: options.widening.strategy.name(),
+        ..AnalysisStats::default()
+    };
+    let localize = engine == Engine::Base;
+    let (in_sets, out_sets) = if localize {
+        let du = &frame.du;
+        stats.num_locs = du.locs.len();
+        stats.avg_defs = du.avg_def_size();
+        stats.avg_uses = du.avg_use_size();
+        localization_sets(program, du)
+    } else {
+        (IndexVec::new(), IndexVec::new())
+    };
+    let spec = IntervalDenseSpec {
+        program,
+        localize,
+        in_sets,
+        out_sets,
+    };
+    let fix = Phase::start("fix");
+    let result = dense::solve_with(program, &frame.icfg, &spec, &frame.plan, &options.budget);
+    stats.fix_time = fix.stop();
+    stats.iterations = result.iterations;
+    stats.degraded = result.degraded;
+    IntervalResult {
+        engine,
+        values: result.post,
+        stats,
     }
 }
 
@@ -611,10 +602,13 @@ mod semi_sparse_tests {
     #[test]
     fn semi_sparse_coarsens_address_taken_only() {
         let program = parse(SRC).unwrap();
-        let precise = Pipeline::prepare(&program, AnalyzeOptions::default());
-        let pre = crate::preanalysis::run(&program);
-        let coarse_state = crate::preanalysis::coarsen_semi_sparse(&program, &pre.state);
-        let coarse_du = crate::defuse::compute_with_state(&program, &pre, &coarse_state);
+        let timers = StageTimers::new();
+        let precise = Frame::build(&program, &AnalyzeOptions::default(), 1, &timers);
+        let semi = AnalyzeOptions {
+            semi_sparse: true,
+            ..AnalyzeOptions::default()
+        };
+        let coarse_du = Frame::build(&program, &semi, 1, &timers).du;
         // Semi-sparse def/use sets are at least as big everywhere…
         for cp in program.all_points() {
             for l in precise.du.defs(cp) {

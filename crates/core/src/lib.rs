@@ -11,6 +11,8 @@
 //!   D̂/Û are derived from (§3.2);
 //! * [`defuse`] — the safe approximations `D̂(c)`/`Û(c)` (Definition 5) plus
 //!   the per-procedure access summaries of §5;
+//! * [`skeleton`] — the per-unit chain pre-analysis → D̂/Û → dependencies,
+//!   built once by one builder and borrowed by every instance;
 //! * [`icfg`] — the interprocedural CFG with call/return/bypass edges shared
 //!   by the dense engines;
 //! * [`dense`] — the baseline worklist engine: `vanilla` (global, whole
@@ -23,10 +25,6 @@
 //! * [`interval`] — the `Interval{vanilla,base,sparse}` analyzers of §6.1;
 //! * [`octagon`] — the packed relational instance of §4 and the
 //!   `Octagon{vanilla,base,sparse}` analyzers of §6.2;
-//! * [`constprop`] — a third instance, sparse constant propagation (the
-//!   original sparse analysis per the related-work lineage), built from the
-//!   same D̂/Û sets, dependencies and engine — the framework's genericity
-//!   demonstrated in code;
 //! * [`checker`] — the Sparrow-style buffer-overrun + null-deref client;
 //! * [`pathcond`] — dominator trees, dominating `assume` guard chains and
 //!   the sound guard-conjunction evaluation behind path-sensitive triage;
@@ -51,7 +49,6 @@
 
 pub mod budget;
 pub mod checker;
-pub mod constprop;
 pub mod defuse;
 pub mod dense;
 pub mod depgen;
@@ -63,6 +60,7 @@ pub mod octagon;
 pub mod pathcond;
 pub mod preanalysis;
 pub mod semantics;
+pub mod skeleton;
 pub mod sparse;
 pub mod stats;
 pub mod triage;

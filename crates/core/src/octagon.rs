@@ -29,16 +29,16 @@
 
 use crate::defuse::DefUse;
 use crate::dense::{self, DenseSpec};
-use crate::depgen::{self, DataDeps, DepGenOptions, DepSource};
-use crate::icfg::{EdgeKind, Icfg, InEdge};
+use crate::depgen::{self, DataDeps, DepSource};
+use crate::icfg::{EdgeKind, InEdge};
 use crate::interval::AnalyzeOptions;
-use crate::preanalysis::{self, PreAnalysis};
+use crate::preanalysis::PreAnalysis;
+use crate::skeleton::{self, Frame};
 use crate::sparse::{self, SparseSpec};
 use crate::stats::AnalysisStats;
-use crate::widening::WideningPlan;
 use sga_domains::{AbsLoc, Interval, Lattice, Octagon, Pack, PackId, PackSet, Thresholds};
 use sga_ir::{BinOp, Cmd, Cond, Cp, Expr, LVal, ProcId, Program, RelOp, VarId};
-use sga_utils::stats::{peak_rss_bytes, Phase};
+use sga_utils::stats::{peak_rss_bytes, Phase, StageTimers};
 use sga_utils::{FxHashMap, FxHashSet, Idx, IndexVec, PMap};
 
 /// Maximum pack size before the heuristic refuses to merge further (§6.2).
@@ -112,34 +112,42 @@ pub fn analyze(program: &Program, engine: Engine) -> OctagonResult {
 
 /// Runs the chosen octagon analyzer with analysis options (dependency
 /// generation + widening strategy; `semi_sparse` is interval-only and
-/// ignored here).
+/// ignored here): builds the unit's [`Frame`] and runs [`analyze_on`].
 pub fn analyze_with(program: &Program, engine: Engine, options: AnalyzeOptions) -> OctagonResult {
-    let depgen_options = options.depgen;
     let total = Phase::start("total");
-    let pre_phase = Phase::start("pre");
-    let pre = preanalysis::run(program);
-    let pre_time = pre_phase.stop();
-    let icfg = Icfg::build(program, &pre);
-    let packs = build_packs(program);
-    let du = crate::defuse::compute(program, &pre);
-    let odu = OctDefUse::compute(program, &pre, &du, &packs);
-    let plan = WideningPlan::for_program(program, options.widening);
+    let timers = StageTimers::new();
+    let frame_options = AnalyzeOptions {
+        semi_sparse: false,
+        ..options
+    };
+    let frame = Frame::build(program, &frame_options, 1, &timers);
+    let mut result = analyze_on(program, &frame, engine, &options);
+    result.stats.pre_time = timers.get("pre");
+    result.stats.total_time = total.stop();
+    result.stats.peak_mem_bytes = peak_rss_bytes();
+    result
+}
 
+/// Runs the chosen octagon analyzer on a unit's borrowed [`Frame`]: the
+/// pack-level D̂/Û derive from the frame's interval D̂/Û, and the sparse
+/// engine generates its own pack dependencies. Widening follows the
+/// frame's plan.
+pub fn analyze_on(
+    program: &Program,
+    frame: &Frame,
+    engine: Engine,
+    options: &AnalyzeOptions,
+) -> OctagonResult {
+    let packs = build_packs(program);
+    let odu = OctDefUse::compute(program, &frame.pre, &frame.du, &packs);
     let mut stats = AnalysisStats {
-        pre_time,
         widening: options.widening.strategy.name(),
+        num_locs: packs.len(),
+        avg_defs: odu.avg_def_size(),
+        avg_uses: odu.avg_use_size(),
         ..AnalysisStats::default()
     };
-    stats.num_locs = packs.len();
-    stats.avg_defs = odu.avg_def_size();
-    stats.avg_uses = odu.avg_use_size();
-
-    let sem = OctSemantics {
-        program,
-        pre: &pre,
-        packs: &packs,
-        fresh_packs: fresh_packs_of(program, &packs),
-    };
+    let sem = OctSemantics::new(program, &frame.pre, &packs);
 
     let values = match engine {
         Engine::Vanilla | Engine::Base => {
@@ -150,41 +158,17 @@ pub fn analyze_with(program: &Program, engine: Engine, options: AnalyzeOptions) 
                 out_packs: odu.out_packs.clone(),
             };
             let fix = Phase::start("fix");
-            let result = dense::solve_with(program, &icfg, &spec, &plan, &options.budget);
+            let result =
+                dense::solve_with(program, &frame.icfg, &spec, &frame.plan, &options.budget);
             stats.fix_time = fix.stop();
             stats.iterations = result.iterations;
             stats.degraded = result.degraded;
             result.post
         }
         Engine::Sparse => {
-            let dep_phase = Phase::start("dep");
-            let deps = depgen::generate_from(program, &odu, depgen_options);
-            stats.dep_time = dep_phase.stop();
-            stats.dep_edges_raw = deps.stats.raw_edges;
-            stats.dep_edges = deps.stats.final_edges;
-            let spec = OctSparseSpec {
-                sem: &sem,
-                odu: &odu,
-            };
-            let fix = Phase::start("fix");
-            let result = sparse::solve_backend(
-                options.dep_backend,
-                program,
-                &icfg,
-                &deps,
-                &spec,
-                &plan,
-                &options.budget,
-            );
-            stats.fix_time = fix.stop();
-            stats.iterations = result.iterations;
-            stats.degraded = result.degraded;
-            result.values
+            solve_sparse(program, frame, &sem, &odu, options, &mut stats, |_, _, v| v)
         }
     };
-
-    stats.total_time = total.stop();
-    stats.peak_mem_bytes = peak_rss_bytes();
     OctagonResult {
         engine,
         values,
@@ -193,52 +177,64 @@ pub fn analyze_with(program: &Program, engine: Engine, options: AnalyzeOptions) 
     }
 }
 
-/// Solves the sparse octagon analysis under `options` and re-checks
+/// Generates the pack dependencies, solves the sparse octagon analysis
+/// (recording its phases in `stats`) and hands the solved values to `k`
+/// together with the dependencies and spec they came from.
+fn solve_sparse<R>(
+    program: &Program,
+    frame: &Frame,
+    sem: &OctSemantics<'_>,
+    odu: &OctDefUse,
+    options: &AnalyzeOptions,
+    stats: &mut AnalysisStats,
+    k: impl FnOnce(&DataDeps, &OctSparseSpec<'_>, FxHashMap<Cp, OctState>) -> R,
+) -> R {
+    let dep_phase = Phase::start("dep");
+    let deps = depgen::assemble(odu, options.depgen, skeleton::dep_segments(program, odu, 1));
+    stats.dep_time = dep_phase.stop();
+    stats.dep_edges_raw = deps.stats.raw_edges;
+    stats.dep_edges = deps.stats.final_edges;
+    let spec = OctSparseSpec { sem, odu };
+    let fix = Phase::start("fix");
+    let result = sparse::solve_backend(
+        options.dep_backend,
+        program,
+        &frame.icfg,
+        &deps,
+        &spec,
+        &frame.plan,
+        &options.budget,
+    );
+    stats.fix_time = fix.stop();
+    stats.iterations = result.iterations;
+    stats.degraded = result.degraded;
+    k(&deps, &spec, result.values)
+}
+
+/// Solves the sparse octagon analysis on a borrowed frame and re-checks
 /// `f̂_c(X̂) ⊑ X̂` at every point with [`crate::validate`]'s independent
 /// transfer pass. Lives here because the octagon spec types are private;
 /// [`crate::validate::check_octagon_sparse`] is the public entry point.
 pub(crate) fn sparse_post_fixpoint_check(
     program: &Program,
-    options: AnalyzeOptions,
+    frame: &Frame,
+    options: &AnalyzeOptions,
 ) -> crate::validate::CheckReport {
-    let pre = preanalysis::run(program);
-    let icfg = Icfg::build(program, &pre);
     let packs = build_packs(program);
-    let du = crate::defuse::compute(program, &pre);
-    let odu = OctDefUse::compute(program, &pre, &du, &packs);
-    let plan = WideningPlan::for_program(program, options.widening);
-    let deps = depgen::generate_from(program, &odu, options.depgen);
-    let sem = OctSemantics {
+    let odu = OctDefUse::compute(program, &frame.pre, &frame.du, &packs);
+    let sem = OctSemantics::new(program, &frame.pre, &packs);
+    let mut stats = AnalysisStats::default();
+    solve_sparse(
         program,
-        pre: &pre,
-        packs: &packs,
-        fresh_packs: fresh_packs_of(program, &packs),
-    };
-    let spec = OctSparseSpec {
-        sem: &sem,
-        odu: &odu,
-    };
-    let result = sparse::solve_backend(
-        options.dep_backend,
-        program,
-        &icfg,
-        &deps,
-        &spec,
-        &plan,
-        &options.budget,
-    );
-    crate::validate::check_sparse_post_fixpoint(program, &deps, &spec, &result.values)
-}
-
-/// Builds the octagon dependency structures without running the fixpoint
-/// (used by the benchmark harness for phase-separated timing).
-pub fn prepare_deps(program: &Program) -> (PreAnalysis, PackSet, DataDeps) {
-    let pre = preanalysis::run(program);
-    let packs = build_packs(program);
-    let du = crate::defuse::compute(program, &pre);
-    let odu = OctDefUse::compute(program, &pre, &du, &packs);
-    let deps = depgen::generate_from(program, &odu, DepGenOptions::default());
-    (pre, packs, deps)
+        frame,
+        &sem,
+        &odu,
+        options,
+        &mut stats,
+        |deps, spec, values| {
+            crate::validate::check_sparse_post_fixpoint(program, deps, spec, &values)
+        },
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -449,7 +445,16 @@ fn fresh_packs_of(program: &Program, packs: &PackSet) -> IndexVec<ProcId, Vec<Pa
         .collect()
 }
 
-impl OctSemantics<'_> {
+impl<'p> OctSemantics<'p> {
+    fn new(program: &'p Program, pre: &'p PreAnalysis, packs: &'p PackSet) -> Self {
+        OctSemantics {
+            program,
+            pre,
+            packs,
+            fresh_packs: fresh_packs_of(program, packs),
+        }
+    }
+
     /// `π_x`: the interval of `x`, met across every pack containing it
     /// (the singleton pack guarantees at least one projection exists).
     fn project_var(&self, st: &OctState, x: VarId) -> Interval {

@@ -62,6 +62,7 @@ use crate::interval::{AnalyzeOptions, Engine, IntervalResult};
 use crate::octagon::{self, OctagonResult};
 use crate::pathcond::{self, DomTree, GuardSite, PathIndex};
 use crate::preanalysis::PreAnalysis;
+use crate::skeleton::Frame;
 use crate::widening::WideningConfig;
 use sga_diag::{DiagKind, Diagnostic, DischargeMethod, Evidence, Status};
 use sga_domains::interval::Bound;
@@ -178,13 +179,53 @@ pub fn derived_budget(interval_iterations: usize, base: &Budget) -> Budget {
 /// refuted alarm in `diags` to discharged, recording the proving packs
 /// (octagon member sets, or dominating guard chains) and the refuting
 /// constraint. `result` is the interval fixpoint the alarms came from —
-/// the path layer evaluates guard conditions against it.
+/// the path layer evaluates guard conditions against it. The octagon layer
+/// builds its own [`Frame`]; [`discharge_on`] borrows one instead.
 pub fn discharge(
     program: &Program,
     pre: &PreAnalysis,
     result: &IntervalResult,
     diags: &mut [Diagnostic],
     options: &TriageOptions,
+) -> TriageStats {
+    discharge_with(program, pre, result, diags, options, || {
+        octagon::analyze_with(program, options.engine, octagon_options(options))
+    })
+}
+
+/// [`discharge`] on a unit's borrowed [`Frame`]: the octagon layer solves
+/// over the frame's pre-analysis, ICFG, D̂/Û and widening plan.
+pub fn discharge_on(
+    program: &Program,
+    frame: &Frame,
+    result: &IntervalResult,
+    diags: &mut [Diagnostic],
+    options: &TriageOptions,
+) -> TriageStats {
+    discharge_with(program, &frame.pre, result, diags, options, || {
+        octagon::analyze_on(program, frame, options.engine, &octagon_options(options))
+    })
+}
+
+fn octagon_options(options: &TriageOptions) -> AnalyzeOptions {
+    AnalyzeOptions {
+        depgen: options.depgen,
+        dep_backend: options.dep_backend,
+        semi_sparse: false,
+        widening: options.widening,
+        budget: options.budget,
+    }
+}
+
+/// The triage pass proper; `solve_octagon` runs only when the octagon layer
+/// is selected and some alarm is a candidate.
+fn discharge_with(
+    program: &Program,
+    pre: &PreAnalysis,
+    result: &IntervalResult,
+    diags: &mut [Diagnostic],
+    options: &TriageOptions,
+    solve_octagon: impl FnOnce() -> OctagonResult,
 ) -> TriageStats {
     let mut stats = TriageStats::default();
     let candidates: Vec<usize> = diags
@@ -211,17 +252,7 @@ pub fn discharge(
     let mut paths = PathIndex::new();
 
     if options.mode.runs_octagon() {
-        let res = octagon::analyze_with(
-            program,
-            options.engine,
-            AnalyzeOptions {
-                depgen: options.depgen,
-                dep_backend: options.dep_backend,
-                semi_sparse: false,
-                widening: options.widening,
-                budget: options.budget,
-            },
-        );
+        let res = solve_octagon();
         stats.octagon_ran = true;
         stats.degraded = res.stats.degraded;
 

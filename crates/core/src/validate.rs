@@ -36,11 +36,12 @@ use crate::budget::Budget;
 use crate::defuse::DefUse;
 use crate::depgen::DataDeps;
 use crate::interval::{self, AnalyzeOptions, Engine, IntervalResult, IntervalSparseSpec};
-use crate::preanalysis::PreAnalysis;
+use crate::skeleton::{Frame, Skeleton};
 use crate::sparse::SparseSpec;
 use sga_domains::lattice::Lattice;
 use sga_domains::{AbsLoc, Value};
 use sga_ir::{Cmd, Cp, Program};
+use sga_utils::stats::StageTimers;
 use sga_utils::{FxHashMap, PMap};
 
 /// Cap on recorded violations per check — a genuinely broken transfer
@@ -316,48 +317,40 @@ pub fn check_defuse_side_condition(program: &Program, du: &DefUse) -> CheckRepor
     report
 }
 
-/// Runs the octagon sparse analysis under `options` and post-fixpoint-checks
-/// its result (the octagon spec types are private to [`crate::octagon`], so
-/// the solve-then-check glue lives there).
-pub fn check_octagon_sparse(program: &Program, options: AnalyzeOptions) -> CheckReport {
-    crate::octagon::sparse_post_fixpoint_check(program, options)
+/// Runs the octagon sparse analysis on a borrowed frame under `options` and
+/// post-fixpoint-checks its result (the octagon spec types are private to
+/// [`crate::octagon`], so the solve-then-check glue lives there).
+pub fn check_octagon_sparse(
+    program: &Program,
+    frame: &Frame,
+    options: &AnalyzeOptions,
+) -> CheckReport {
+    crate::octagon::sparse_post_fixpoint_check(program, frame, options)
 }
 
-/// Borrowed artifacts of an already-solved interval sparse analysis, as the
-/// batch driver holds them.
-pub struct ValidationInputs<'a> {
-    /// Pre-analysis (call targets, points-to) the result was built from.
-    pub pre: &'a PreAnalysis,
-    /// Def/use sets with the interned location table.
-    pub du: &'a DefUse,
-    /// The dependency edges the solver propagated along.
-    pub deps: &'a DataDeps,
-    /// The final sparse value map.
-    pub sparse_values: &'a FxHashMap<Cp, PMap<AbsLoc, Value>>,
-    /// Whether the solve degraded (skips the Lemma 1 cross-check).
-    pub degraded: bool,
-}
-
-/// Runs all three oracle checks against one unit: the post-fixpoint check
-/// over the given interval result *and* over a freshly solved octagon
-/// result (both under `options.budget`, so degraded units are validated in
-/// their degraded form), the Lemma 1 sparse-vs-dense cross-check (exact
-/// fixpoints only — the dense reference runs unbounded), and the Def. 5
-/// side condition.
+/// Runs all three oracle checks against one unit's interval sparse
+/// `result` and the skeleton it was solved on: the post-fixpoint check over
+/// that result *and* over an octagon result solved on the same skeleton
+/// (both under `options.budget`, so degraded units are validated in their
+/// degraded form), the Lemma 1 sparse-vs-dense cross-check (exact fixpoints
+/// only — the dense reference runs unbounded and, being the oracle, builds
+/// its own inputs), and the Def. 5 side condition.
 pub fn validate_unit(
     program: &Program,
-    inputs: &ValidationInputs<'_>,
+    skeleton: &Skeleton,
+    result: &IntervalResult,
     options: AnalyzeOptions,
 ) -> UnitValidation {
-    let spec = IntervalSparseSpec {
-        program,
-        pre: inputs.pre,
-        du: inputs.du,
-    };
-    let interval_report =
-        check_sparse_post_fixpoint(program, inputs.deps, &spec, inputs.sparse_values);
-    let octagon_report = check_octagon_sparse(program, options);
-    let lemma1 = if inputs.degraded {
+    let Frame { pre, du, .. } = &skeleton.frame;
+    let values: FxHashMap<Cp, PMap<AbsLoc, Value>> = result
+        .values
+        .iter()
+        .map(|(cp, st)| (*cp, st.as_pmap().clone()))
+        .collect();
+    let spec = IntervalSparseSpec { program, pre, du };
+    let interval_report = check_sparse_post_fixpoint(program, &skeleton.deps, &spec, &values);
+    let octagon_report = check_octagon_sparse(program, &skeleton.frame, &options);
+    let lemma1 = if result.stats.degraded {
         Lemma1Report {
             skipped: true,
             ..Lemma1Report::default()
@@ -374,9 +367,9 @@ pub fn validate_unit(
                 ..options
             },
         );
-        check_lemma1_interval(program, inputs.sparse_values, &dense)
+        check_lemma1_interval(program, &values, &dense)
     };
-    let defuse = check_defuse_side_condition(program, inputs.du);
+    let defuse = check_defuse_side_condition(program, du);
     UnitValidation {
         interval: interval_report,
         octagon: octagon_report,
@@ -386,77 +379,13 @@ pub fn validate_unit(
     }
 }
 
-/// Self-contained validation of one program: runs the interval sparse
-/// analysis itself, then [`validate_unit`]. Entry point for callers without
-/// a staged pipeline (tests, one-shot audits).
+/// Self-contained validation of one program: builds its skeleton, runs the
+/// interval sparse analysis on it, then [`validate_unit`]. Entry point for
+/// callers without a staged pipeline (tests, one-shot audits).
 pub fn validate_program(program: &Program, options: AnalyzeOptions) -> UnitValidation {
-    let ValidationParts {
-        pre,
-        du,
-        deps,
-        values,
-        degraded,
-    } = solve_for_validation(program, options);
-    validate_unit(
-        program,
-        &ValidationInputs {
-            pre: &pre,
-            du: &du,
-            deps: &deps,
-            sparse_values: &values,
-            degraded,
-        },
-        options,
-    )
-}
-
-/// Owned artifacts of one interval sparse solve (see
-/// [`solve_for_validation`]).
-pub struct ValidationParts {
-    /// Pre-analysis result.
-    pub pre: PreAnalysis,
-    /// Def/use sets.
-    pub du: DefUse,
-    /// Dependency edges.
-    pub deps: DataDeps,
-    /// Final sparse values.
-    pub values: FxHashMap<Cp, PMap<AbsLoc, Value>>,
-    /// Whether the solve degraded.
-    pub degraded: bool,
-}
-
-/// Runs the interval sparse analysis and returns everything the oracle
-/// needs, still warm.
-pub fn solve_for_validation(program: &Program, options: AnalyzeOptions) -> ValidationParts {
-    use crate::widening::WideningPlan;
-    use crate::{defuse, depgen, icfg::Icfg, preanalysis, sparse};
-
-    let pre = preanalysis::run(program);
-    let icfg = Icfg::build(program, &pre);
-    let du = defuse::compute(program, &pre);
-    let deps = depgen::generate(program, &pre, &du, options.depgen);
-    let spec = IntervalSparseSpec {
-        program,
-        pre: &pre,
-        du: &du,
-    };
-    let plan = WideningPlan::for_program(program, options.widening);
-    let solved = sparse::solve_backend(
-        options.dep_backend,
-        program,
-        &icfg,
-        &deps,
-        &spec,
-        &plan,
-        &options.budget,
-    );
-    ValidationParts {
-        values: solved.values,
-        degraded: solved.degraded,
-        pre,
-        du,
-        deps,
-    }
+    let skeleton = Skeleton::build(program, &options, 1, &StageTimers::new());
+    let result = interval::analyze_on(program, &skeleton, Engine::Sparse, &options);
+    validate_unit(program, &skeleton, &result, options)
 }
 
 #[cfg(test)]
@@ -500,8 +429,11 @@ mod tests {
             budget: Budget::with_max_steps(5),
             ..AnalyzeOptions::default()
         };
-        let parts = solve_for_validation(&program, options);
-        assert!(parts.degraded, "budget of 5 steps must degrade this loop");
+        let result = interval::analyze_with(&program, Engine::Sparse, options);
+        assert!(
+            result.stats.degraded,
+            "budget of 5 steps must degrade this loop"
+        );
         let v = validate_program(&program, options);
         assert!(
             v.is_valid(),
@@ -515,14 +447,19 @@ mod tests {
     fn broken_result_is_caught_by_the_post_fixpoint_check() {
         let program = parse(LOOPY).unwrap();
         let options = AnalyzeOptions::default();
-        let mut parts = solve_for_validation(&program, options);
+        let skeleton = Skeleton::build(&program, &options, 1, &StageTimers::new());
+        let result = interval::analyze_on(&program, &skeleton, Engine::Sparse, &options);
+        let mut values: FxHashMap<Cp, PMap<AbsLoc, Value>> = result
+            .values
+            .into_iter()
+            .map(|(cp, st)| (cp, st.into_pmap()))
+            .collect();
 
         // Sabotage: drop one point's stored bindings. The transfer pass
         // re-derives them from the (unchanged) inputs, so the oracle must
         // see bindings that are ⋢ the (now missing) stored state.
         let victim = {
-            let mut cps: Vec<Cp> = parts
-                .values
+            let mut cps: Vec<Cp> = values
                 .iter()
                 .filter(|(_, m)| !m.is_empty())
                 .map(|(cp, _)| *cp)
@@ -530,14 +467,14 @@ mod tests {
             cps.sort();
             *cps.last().expect("analysis bound at least one point")
         };
-        parts.values.remove(&victim);
+        values.remove(&victim);
 
         let spec = IntervalSparseSpec {
             program: &program,
-            pre: &parts.pre,
-            du: &parts.du,
+            pre: &skeleton.frame.pre,
+            du: &skeleton.frame.du,
         };
-        let report = check_sparse_post_fixpoint(&program, &parts.deps, &spec, &parts.values);
+        let report = check_sparse_post_fixpoint(&program, &skeleton.deps, &spec, &values);
         assert!(
             !report.violations.is_empty(),
             "dropping {victim}'s bindings must violate f\u{302}(X\u{302}) \u{2291} X\u{302}"

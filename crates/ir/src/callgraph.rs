@@ -105,6 +105,36 @@ impl CallGraph {
     pub fn bottom_up_sccs(&self) -> &[Vec<usize>] {
         &self.scc.components
     }
+
+    /// Groups the SCC condensation into bottom-up *levels*: SCCs in the same
+    /// level have no call path between them, so per-SCC summaries of one
+    /// level can be computed concurrently. Returns lists of component ids
+    /// into [`CallGraph::bottom_up_sccs`], innermost level first.
+    pub fn scc_levels(&self) -> Vec<Vec<usize>> {
+        let sccs = self.bottom_up_sccs();
+        let comp = &self.scc.component;
+        let mut level = vec![0usize; sccs.len()];
+        // Components come callees-first, so every callee component has a
+        // smaller id and its level is already final when we get to the caller.
+        for (i, members) in sccs.iter().enumerate() {
+            let mut lv = 0usize;
+            for &p in members {
+                for &q in &self.callees[ProcId::new(p)] {
+                    let cq = comp[q.index()];
+                    if cq != i {
+                        lv = lv.max(level[cq] + 1);
+                    }
+                }
+            }
+            level[i] = lv;
+        }
+        let depth = level.iter().copied().max().map_or(0, |m| m + 1);
+        let mut by_level: Vec<Vec<usize>> = vec![Vec::new(); depth];
+        for (i, &lv) in level.iter().enumerate() {
+            by_level[lv].push(i);
+        }
+        by_level
+    }
 }
 
 #[cfg(test)]
@@ -186,5 +216,20 @@ mod tests {
         let pos = |p: usize| order.iter().position(|c| c.contains(&p)).unwrap();
         assert!(pos(3) < pos(1), "h before the f-g cycle");
         assert!(pos(1) < pos(0), "cycle before main");
+    }
+
+    #[test]
+    fn scc_levels_stack_callers_above_callees() {
+        let program = sample_program();
+        let cg = CallGraph::syntactic(&program);
+        let sccs = cg.bottom_up_sccs();
+        let levels: Vec<Vec<Vec<usize>>> = cg
+            .scc_levels()
+            .iter()
+            .map(|lvl| lvl.iter().map(|&ci| sccs[ci].clone()).collect())
+            .collect();
+        assert_eq!(levels.len(), 3, "h, then the f-g cycle, then main");
+        assert_eq!(levels[0], vec![vec![3]]);
+        assert_eq!(levels[2], vec![vec![0]]);
     }
 }

@@ -48,7 +48,6 @@ pub mod cache;
 pub mod fault;
 pub mod interrupt;
 pub mod journal;
-pub mod par;
 pub mod unit;
 pub mod worker;
 
@@ -58,7 +57,8 @@ mod testfix;
 pub use cache::Cache;
 pub use fault::FaultPlan;
 pub use journal::Journal;
-pub use unit::{analyze_unit, analyze_unit_traced, ProcArtifact, UnitAnalysis, UnitInternals};
+pub use sga_utils::par;
+pub use unit::{analyze_unit, ProcArtifact, UnitAnalysis};
 pub use worker::IsolationMode;
 
 use journal::JournalRecord;
@@ -66,8 +66,9 @@ use sga_core::budget::{Budget, WorkerLimits};
 use sga_core::depgen::DepGenOptions;
 use sga_core::depstore::DepBackend;
 use sga_core::interval::AnalyzeOptions;
+use sga_core::skeleton::Skeleton;
 use sga_core::triage::TriageMode;
-use sga_core::validate::{self, CheckKind, UnitValidation, ValidationInputs};
+use sga_core::validate::{self, CheckKind, UnitValidation};
 use sga_core::widening::WideningConfig;
 use sga_utils::stats::StageTimers;
 use sga_utils::Json;
@@ -584,74 +585,47 @@ fn process_unit(
         let program = timers
             .time("parse", || sga_cfront::parse(&input.source))
             .map_err(|e| e.to_string())?;
-        if options.validate {
-            let (analysis, internals) = unit::analyze_unit_traced(
-                &program,
-                ctx.inner_jobs,
-                options.depgen,
-                options.dep_backend,
-                options.widening,
-                options.triage,
-                budget,
-                timers,
-            );
-            let mut validation = timers.time("validate", || {
-                validate::validate_unit(
-                    &program,
-                    &ValidationInputs {
-                        pre: &internals.pre,
-                        du: &internals.du,
-                        deps: &internals.deps,
-                        sparse_values: &internals.sparse_values,
-                        degraded: internals.degraded,
-                    },
-                    AnalyzeOptions {
-                        depgen: options.depgen,
-                        dep_backend: options.dep_backend,
-                        widening: options.widening,
-                        budget: *budget,
-                        ..AnalyzeOptions::default()
-                    },
-                )
-            });
-            let status = match cached_hit {
-                Some(cached) if *cached == analysis => CacheStatus::Hit,
-                Some(cached) => {
-                    validation.add_extra(
-                        CheckKind::CacheMismatch,
-                        format!(
-                            "cached entry (fingerprint {:016x}) disagrees with \
-                             recomputation (fingerprint {:016x})",
-                            cached.fingerprint, analysis.fingerprint,
-                        ),
-                    );
-                    if let Some(c) = cache {
-                        c.quarantine_entry(&input.name, key);
-                    }
-                    CacheStatus::Miss
-                }
-                None if cache.is_some() => CacheStatus::Miss,
-                None => CacheStatus::Off,
-            };
-            Ok((status, Box::new(analysis), Some(validation)))
-        } else {
-            let analysis = unit::analyze_unit(
-                &program,
-                ctx.inner_jobs,
-                options.depgen,
-                options.dep_backend,
-                options.widening,
-                options.triage,
-                budget,
-                timers,
-            );
+        let aopts = AnalyzeOptions {
+            depgen: options.depgen,
+            dep_backend: options.dep_backend,
+            widening: options.widening,
+            budget: *budget,
+            ..AnalyzeOptions::default()
+        };
+        let skeleton = Skeleton::build(&program, &aopts, ctx.inner_jobs, timers);
+        let (analysis, result) =
+            unit::analyze_unit(&program, &skeleton, options.triage, &aopts, timers);
+        if !options.validate {
             let status = if cache.is_some() {
                 CacheStatus::Miss
             } else {
                 CacheStatus::Off
             };
-            Ok((status, Box::new(analysis), None))
+            return Ok((status, Box::new(analysis), None));
         }
+        let mut validation = timers.time("validate", || {
+            validate::validate_unit(&program, &skeleton, &result, aopts)
+        });
+        let status = match cached_hit {
+            Some(cached) if *cached == analysis => CacheStatus::Hit,
+            Some(cached) => {
+                validation.add_extra(
+                    CheckKind::CacheMismatch,
+                    format!(
+                        "cached entry (fingerprint {:016x}) disagrees with \
+                         recomputation (fingerprint {:016x})",
+                        cached.fingerprint, analysis.fingerprint,
+                    ),
+                );
+                if let Some(c) = cache {
+                    c.quarantine_entry(&input.name, key);
+                }
+                CacheStatus::Miss
+            }
+            None if cache.is_some() => CacheStatus::Miss,
+            None => CacheStatus::Off,
+        };
+        Ok((status, Box::new(analysis), Some(validation)))
     }));
 
     match caught {

@@ -1,14 +1,17 @@
 //! The pipeline's headline invariant: the report is independent of the
 //! worker count. `--jobs 1`, `2` and `8` must produce *byte-identical*
-//! canonical reports, and the staged per-procedure schedule must agree
-//! exactly with the sequential single-unit analyzer it decomposes.
+//! canonical reports, the per-unit skeleton must not depend on its worker
+//! count, and the staged per-procedure schedule must agree exactly with the
+//! sequential single-unit analyzer it decomposes.
 
 use sga_core::budget::Budget;
-use sga_core::depgen::DepGenOptions;
 use sga_core::depstore::DepBackend;
-use sga_core::interval::{self, Engine};
-use sga_core::widening::WideningConfig;
-use sga_pipeline::{analyze_unit, run, PipelineOptions, Project};
+use sga_core::interval::{self, AnalyzeOptions, Engine};
+use sga_core::skeleton::Skeleton;
+use sga_core::triage::{self, TriageMode, TriageOptions};
+use sga_core::{checker, validate};
+use sga_ir::Program;
+use sga_pipeline::{analyze_unit, load_project, run, PipelineOptions, Project};
 use sga_utils::stats::StageTimers;
 
 fn corpus() -> Project {
@@ -37,51 +40,107 @@ fn report_is_byte_identical_across_job_counts() {
     }
 }
 
+/// Everything a skeleton determines, rendered in a canonical order: the
+/// location table, every point's D̂/Û sets, the summaries, the dependency
+/// triples, the per-procedure segments and the widening points.
+fn skeleton_digest(program: &Program, skeleton: &Skeleton) -> Vec<String> {
+    let du = &skeleton.frame.du;
+    let locs: Vec<_> = (0..du.locs.len() as u32).map(|i| du.locs.loc(i)).collect();
+    let mut digest = vec![format!("locs {locs:?}")];
+    digest.extend(
+        program
+            .all_points()
+            .filter_map(|cp| du.sets.get(&cp).map(|sets| format!("{cp} {sets:?}"))),
+    );
+    digest.push(format!(
+        "summaries {:?} {:?}",
+        du.summary_defs, du.summary_uses
+    ));
+    let mut triples: Vec<_> = skeleton.deps.iter().collect();
+    triples.sort_unstable();
+    digest.push(format!("deps {triples:?}"));
+    digest.push(format!("segments {:?}", skeleton.segments));
+    let mut heads: Vec<_> = skeleton.deps.cycle_nodes.iter().copied().collect();
+    heads.sort_unstable();
+    digest.push(format!("widening points {heads:?}"));
+    digest
+}
+
 #[test]
 fn staged_schedule_matches_sequential_analyzer() {
-    let source = sga_cgen::generate(&sga_cgen::GenConfig::sized(21, 1));
-    let program = sga_cfront::parse(&source).expect("corpus parses");
-
-    // The reference: the one-shot sparse analyzer from sga-core.
-    let reference = interval::analyze(&program, Engine::Sparse);
-
-    // The staged per-procedure schedule, with real worker threads.
+    let mut sources: Vec<String> = load_project(&corpus())
+        .expect("corpus loads")
+        .into_iter()
+        .map(|unit| unit.source)
+        .collect();
+    sources.extend(
+        [21u64, 0xFEED].map(|seed| sga_cgen::generate(&sga_cgen::GenConfig::sized(seed, 1))),
+    );
+    let options = AnalyzeOptions::default();
     let timers = StageTimers::new();
-    let staged = analyze_unit(
-        &program,
-        4,
-        DepGenOptions::default(),
-        DepBackend::default(),
-        WideningConfig::default(),
-        sga_core::triage::TriageMode::default(),
-        &Budget::unbounded(),
-        &timers,
-    );
+    for (i, source) in sources.iter().enumerate() {
+        let program = sga_cfront::parse(source).expect("corpus parses");
 
-    assert_eq!(staged.iterations, reference.stats.iterations);
-    assert_eq!(staged.num_locs, reference.stats.num_locs);
-    assert_eq!(staged.dep_edges, reference.stats.dep_edges);
-    assert_eq!(staged.dep_edges_raw, reference.stats.dep_edges_raw);
+        // The skeleton is the same whatever the worker count.
+        let skeleton = Skeleton::build(&program, &options, 4, &timers);
+        let sequential = Skeleton::build(&program, &options, 1, &timers);
+        assert_eq!(
+            skeleton_digest(&program, &skeleton),
+            skeleton_digest(&program, &sequential),
+            "unit {i}: jobs 4 and jobs 1 skeletons differ"
+        );
 
-    // The reference diagnostics: same checkers, same triage, over the
-    // one-shot result — the staged schedule must reproduce them exactly,
-    // fingerprints, triage verdicts and all.
-    let pre = sga_core::preanalysis::run(&program);
-    let mut reference_diags = sga_core::checker::check_all(&program, &reference, &pre);
-    sga_core::triage::discharge(
-        &program,
-        &pre,
-        &reference,
-        &mut reference_diags,
-        &sga_core::triage::TriageOptions {
-            budget: sga_core::triage::derived_budget(
-                reference.stats.iterations,
-                &Budget::unbounded(),
-            ),
-            ..sga_core::triage::TriageOptions::default()
-        },
-    );
-    assert_eq!(staged.diags, reference_diags);
+        // The reference: the one-shot sparse analyzer from sga-core.
+        let reference = interval::analyze(&program, Engine::Sparse);
+        let pre = sga_core::preanalysis::run(&program);
+        for mode in [TriageMode::Octagon, TriageMode::Path, TriageMode::Both] {
+            let (staged, result) = analyze_unit(&program, &skeleton, mode, &options, &timers);
+            assert_eq!(staged.iterations, reference.stats.iterations);
+            assert_eq!(staged.num_locs, reference.stats.num_locs);
+            assert_eq!(staged.dep_edges, reference.stats.dep_edges);
+            assert_eq!(staged.dep_edges_raw, reference.stats.dep_edges_raw);
+            assert_eq!(
+                result.values, reference.values,
+                "unit {i}: fixpoints differ"
+            );
+
+            // The reference diagnostics: same checkers, same triage, over
+            // the one-shot result with its own pre-analysis — the staged
+            // schedule must reproduce them exactly, fingerprints, triage
+            // verdicts and all.
+            let mut reference_diags = checker::check_all(&program, &reference, &pre);
+            triage::discharge(
+                &program,
+                &pre,
+                &reference,
+                &mut reference_diags,
+                &TriageOptions {
+                    budget: triage::derived_budget(
+                        reference.stats.iterations,
+                        &Budget::unbounded(),
+                    ),
+                    mode,
+                    ..TriageOptions::default()
+                },
+            );
+            assert_eq!(staged.diags, reference_diags, "unit {i}, {mode:?}");
+        }
+
+        // The oracle on the borrowed skeleton sees what a self-contained
+        // validation sees (one unit: the oracle re-solves both domains).
+        if i == 0 {
+            let (_, result) =
+                analyze_unit(&program, &skeleton, TriageMode::Path, &options, &timers);
+            assert_eq!(
+                format!(
+                    "{:?}",
+                    validate::validate_unit(&program, &skeleton, &result, options)
+                ),
+                format!("{:?}", validate::validate_program(&program, options)),
+                "validation differs on the borrowed skeleton"
+            );
+        }
+    }
 }
 
 /// Runs against the same cache directory with each backend in turn: the

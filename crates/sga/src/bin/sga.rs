@@ -148,12 +148,14 @@
 use sga::analysis::budget::Budget;
 use sga::analysis::depstore::DepBackend;
 use sga::analysis::interval::{self, AnalyzeOptions, Engine};
+use sga::analysis::skeleton::{Frame, Skeleton};
 use sga::analysis::triage::{self, TriageMode, TriageOptions};
 use sga::analysis::widening::{WideningConfig, WideningStrategy};
-use sga::analysis::{checker, octagon, preanalysis};
+use sga::analysis::{checker, octagon};
 use sga::diag::Diagnostic;
 use sga::domains::Lattice;
 use sga::pipeline::{self, FaultPlan, IsolationMode, PipelineOptions, Project};
+use sga::utils::stats::StageTimers;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -475,31 +477,28 @@ fn run_analyze(args: impl Iterator<Item = String>) -> ExitCode {
     }
 }
 
-/// Runs all four checkers over an analyzed program and triages the
-/// possible interval alarms against the octagon analysis. Shared by
-/// `sga check` and single-file `--check`.
-#[allow(clippy::too_many_arguments)]
+/// Runs all four checkers over a program analyzed on `frame` and triages
+/// the possible interval alarms on the same frame. Shared by `sga check`
+/// and single-file `--check`.
 fn diagnose(
     program: &sga::ir::Program,
+    frame: &Frame,
     result: &interval::IntervalResult,
     engine: Engine,
-    widening: WideningConfig,
-    dep_backend: DepBackend,
     triage_mode: TriageMode,
-    budget: &Budget,
+    options: &AnalyzeOptions,
 ) -> (Vec<Diagnostic>, triage::TriageStats) {
-    let pre = preanalysis::run(program);
-    let mut diags = checker::check_all(program, result, &pre);
-    let stats = triage::discharge(
+    let mut diags = checker::check_all(program, result, &frame.pre);
+    let stats = triage::discharge_on(
         program,
-        &pre,
+        frame,
         result,
         &mut diags,
         &TriageOptions {
             engine,
-            widening,
-            dep_backend,
-            budget: triage::derived_budget(result.stats.iterations, budget),
+            widening: options.widening,
+            dep_backend: options.dep_backend,
+            budget: triage::derived_budget(result.stats.iterations, &options.budget),
             mode: triage_mode,
             ..TriageOptions::default()
         },
@@ -735,27 +734,24 @@ fn run_check(args: impl Iterator<Item = String>) -> ExitCode {
         Ok(p) => p,
         Err(e) => return err(format!("sga: {file}: {e}")),
     };
-    let result = interval::analyze_with(
-        &program,
-        engine,
-        AnalyzeOptions {
-            widening,
-            dep_backend,
-            budget,
-            ..AnalyzeOptions::default()
-        },
-    );
+    let options = AnalyzeOptions {
+        widening,
+        dep_backend,
+        budget,
+        ..AnalyzeOptions::default()
+    };
+    let skeleton = Skeleton::build(&program, &options, 1, &StageTimers::new());
+    let result = interval::analyze_on(&program, &skeleton, engine, &options);
     if result.stats.degraded {
         eprintln!("sga: analysis budget exhausted; result degraded soundly");
     }
     let (diags, stats) = diagnose(
         &program,
+        &skeleton.frame,
         &result,
         engine,
-        widening,
-        dep_backend,
         triage_mode,
-        &budget,
+        &options,
     );
     let definite = print_diagnostics(&diags, &stats);
     if let Some(path) = sarif_out {
@@ -1218,24 +1214,25 @@ fn main() -> ExitCode {
     let mut definite = false;
     match opts.domain {
         Domain::Interval => {
-            let result = interval::analyze_with(
-                &program,
-                opts.engine,
-                AnalyzeOptions {
-                    widening: opts.widening,
-                    dep_backend: opts.dep_backend,
-                    budget: opts.budget,
-                    ..AnalyzeOptions::default()
-                },
-            );
+            let options = AnalyzeOptions {
+                widening: opts.widening,
+                dep_backend: opts.dep_backend,
+                budget: opts.budget,
+                ..AnalyzeOptions::default()
+            };
+            let start = std::time::Instant::now();
+            let timers = StageTimers::new();
+            let skeleton = Skeleton::build(&program, &options, 1, &timers);
+            let result = interval::analyze_on(&program, &skeleton, opts.engine, &options);
             if result.stats.degraded {
                 eprintln!("sga: analysis budget exhausted; result degraded soundly");
             }
             if opts.stats {
                 let s = &result.stats;
+                let dep = timers.get("defuse") + timers.get("dep");
                 eprintln!(
                     "engine {:?}: total {:?} (pre {:?}, dep {:?}, fix {:?}), {} evaluations, {} locations, {} dep edges, widening {}{}",
-                    opts.engine, s.total_time, s.pre_time, s.dep_time, s.fix_time,
+                    opts.engine, start.elapsed(), timers.get("pre"), dep, s.fix_time,
                     s.iterations, s.num_locs, s.dep_edges, s.widening,
                     if s.degraded { ", degraded" } else { "" }
                 );
@@ -1257,12 +1254,11 @@ fn main() -> ExitCode {
             if opts.check {
                 let (diags, tstats) = diagnose(
                     &program,
+                    &skeleton.frame,
                     &result,
                     opts.engine,
-                    opts.widening,
-                    opts.dep_backend,
                     opts.triage,
-                    &opts.budget,
+                    &options,
                 );
                 definite = print_diagnostics(&diags, &tstats);
             }

@@ -17,6 +17,8 @@
 //!   reaching-definition style passes.
 //! * [`graph`] — small graph toolkit: Tarjan SCC, reverse postorder, and
 //!   Bourdoncle-style weak topological order used to place widening points.
+//! * [`par`] — the deterministic fork/join scheduler: results come back in
+//!   input order whatever the worker count.
 //! * [`stats`] — wall-clock timers and peak-memory sampling used by the
 //!   benchmark harness to fill in the paper's tables.
 
@@ -28,6 +30,7 @@ pub mod fxhash;
 pub mod graph;
 pub mod idx;
 pub mod json;
+pub mod par;
 pub mod pmap;
 pub mod stats;
 

@@ -4,7 +4,7 @@
 //! not stall the items behind it) and every worker tags its results with the
 //! item index; the caller gets results back in *input order* regardless of
 //! which thread ran what when. That index-ordered merge is what makes the
-//! whole pipeline's output independent of `--jobs`.
+//! staged per-unit analysis and the batch driver independent of `--jobs`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

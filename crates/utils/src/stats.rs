@@ -113,29 +113,26 @@ impl StageTimers {
     }
 }
 
+/// One snapshot of `/proc/self/status` (Linux); `None` elsewhere.
+fn proc_status() -> Option<String> {
+    std::fs::read_to_string("/proc/self/status").ok()
+}
+
+/// The `kB`-valued `field` (e.g. `VmHWM`) of a `/proc/self/status`
+/// snapshot, in bytes. Fields compared with each other must come from the
+/// same snapshot: the process keeps touching pages between two reads.
+fn status_bytes(status: &str, field: &str) -> Option<u64> {
+    let rest = status
+        .lines()
+        .find_map(|line| line.strip_prefix(field)?.strip_prefix(':'))?;
+    let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb * 1024)
+}
+
 /// Peak resident-set size of this process in bytes, if the platform exposes
 /// it (`VmHWM` in `/proc/self/status`); `None` elsewhere.
 pub fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
-            return Some(kb * 1024);
-        }
-    }
-    None
-}
-
-/// Current resident-set size of this process in bytes (`VmRSS`).
-pub fn current_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmRSS:") {
-            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
-            return Some(kb * 1024);
-        }
-    }
-    None
+    status_bytes(&proc_status()?, "VmHWM")
 }
 
 /// Formats a duration as the paper's tables do: whole seconds for large
@@ -189,8 +186,11 @@ mod tests {
     #[test]
     fn rss_available_on_linux() {
         if cfg!(target_os = "linux") {
-            let peak = peak_rss_bytes().expect("VmHWM should parse on Linux");
-            let cur = current_rss_bytes().expect("VmRSS should parse on Linux");
+            assert!(peak_rss_bytes().is_some_and(|b| b > 0));
+            // Within one snapshot the kernel reports VmHWM >= VmRSS.
+            let status = proc_status().expect("/proc/self/status is readable");
+            let peak = status_bytes(&status, "VmHWM").expect("VmHWM should parse on Linux");
+            let cur = status_bytes(&status, "VmRSS").expect("VmRSS should parse on Linux");
             assert!(peak >= cur, "high-water mark below current RSS");
             assert!(cur > 0);
         }

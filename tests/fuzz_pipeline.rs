@@ -6,11 +6,13 @@
 use proptest::prelude::*;
 use sga::analysis::depgen::DepGenOptions;
 use sga::analysis::depstore::{CsrDeps, DepBackend};
-use sga::analysis::interval::{analyze, analyze_with, AnalyzeOptions, Engine, Pipeline};
+use sga::analysis::interval::{analyze, analyze_with, AnalyzeOptions, Engine};
+use sga::analysis::skeleton::Skeleton;
 use sga::analysis::widening::{WideningConfig, WideningStrategy};
 use sga::cgen::GenConfig;
 use sga::domains::{AbsLoc, Lattice};
 use sga::ir::interp::{self, CVal, InterpConfig, ObservedLoc, Place};
+use sga::utils::stats::StageTimers;
 
 fn arb_config() -> impl Strategy<Value = GenConfig> {
     (
@@ -267,8 +269,8 @@ proptest! {
         let program = sga::frontend::parse(&src)
             .unwrap_or_else(|e| panic!("generated source must parse: {e}"));
 
-        let pl = Pipeline::prepare(&program, AnalyzeOptions::default());
-        let csr = CsrDeps::build(&program, &pl.icfg, &pl.deps);
+        let pl = Skeleton::build(&program, &AnalyzeOptions::default(), 1, &StageTimers::new());
+        let csr = CsrDeps::build(&program, &pl.frame.icfg, &pl.deps);
         let set_triples: BTreeSet<_> = pl.deps.iter().collect();
         let csr_triples: BTreeSet<_> = csr.iter().collect();
         prop_assert!(
@@ -280,7 +282,7 @@ proptest! {
         let numbering = program.point_numbering();
         let mut bdd = sga::bdd::BddDepStore::new(
             numbering.len() as u32,
-            pl.du.locs.len() as u32,
+            pl.frame.du.locs.len() as u32,
         );
         for (from, loc, to) in pl.deps.iter() {
             bdd.insert(sga::bdd::relation::DepTriple {

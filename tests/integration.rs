@@ -183,17 +183,19 @@ fn function_pointers_resolve_end_to_end() {
 
 #[test]
 fn dependency_stores_capture_generated_relation() {
-    use sga::analysis::interval::{AnalyzeOptions, Pipeline};
+    use sga::analysis::interval::AnalyzeOptions;
+    use sga::analysis::skeleton::Skeleton;
     use sga::bdd::{BddDepStore, DepStore, SetDepStore};
+    use sga::utils::stats::StageTimers;
 
     let cfg = GenConfig::sized(5, 1);
     let src = generate(&cfg);
     let program = parse(&src).unwrap();
-    let pl = Pipeline::prepare(&program, AnalyzeOptions::default());
+    let pl = Skeleton::build(&program, &AnalyzeOptions::default(), 1, &StageTimers::new());
     let numbering = program.point_numbering();
 
     let mut set = SetDepStore::new();
-    let mut bdd = BddDepStore::new(numbering.len() as u32, pl.du.locs.len() as u32);
+    let mut bdd = BddDepStore::new(numbering.len() as u32, pl.frame.du.locs.len() as u32);
     for (from, loc, to) in pl.deps.iter() {
         let t = sga::bdd::relation::DepTriple {
             from: numbering.index(from) as u32,
